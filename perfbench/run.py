@@ -128,14 +128,19 @@ def _describe(label: str, values) -> str:
     return text + f", p{tail[0]:g} {tail[1]:.4f} s"
 
 
-def _failed_ops(workload, reference, results) -> int:
+def _failed_ops(workload, reference, results, twins=None) -> int:
     """Operations failing any check, counted over the reference and
-    every later unit.  The run-level checks run here, outside the timed
-    region."""
+    every later unit, each at most once.  ``twins[i]``, if not None, is
+    the untraced unit that the traced ``results[i]`` must reproduce.
+    The run-level checks run here, outside the timed region."""
     bad_keys = workload.check(reference)
+    twins = [None] + (twins or [None] * len(results))
     failed = 0
-    for result in [reference] + results:
+    for result, twin in zip([reference] + results, twins):
         bad = set(result.failed)
+        if twin is not None:
+            keys = set(result.ops) | set(twin.ops)
+            bad |= {k for k in keys if result.ops.get(k) != twin.ops.get(k)}
         if workload.repeats_inputs:
             # Every unit repeats the reference call: it must emit the
             # same bytes, and a check failed on the reference fails
@@ -147,7 +152,18 @@ def _failed_ops(workload, reference, results) -> int:
     return failed
 
 
-def _emit(correct, attempted, failed, metrics, units_of):
+def _units(section: str):
+    """Metric name -> unit, as BENCHMARK.json lists them."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric["unit"] for metric in spec[section]}
+
+
+def _emit(correct, attempted, failed, metrics, section):
+    units_of = _units(section)
+    if set(metrics) != set(units_of):
+        raise RuntimeError(
+            f"metrics differ from BENCHMARK.json {section}: "
+            f"{sorted(set(metrics) ^ set(units_of))}")
     for name, value in metrics.items():
         print(f"  {name:36s} {value:.6g} {units_of[name]}")
     print(json.dumps({
@@ -215,9 +231,7 @@ def run_end_to_end(name: str, seed: int, seconds: float) -> None:
         "sessions_per_s": statistics.median(1.0 / t for t in timings),
         "peak_rss_mb": peak_mb,
     }
-    units_of = {"setup_s": "s", "cells_per_s": "1/s",
-                "sessions_per_s": "1/s", "peak_rss_mb": "MB"}
-    _emit(failed == 0, attempted, failed, metrics, units_of)
+    _emit(failed == 0, attempted, failed, metrics, "end_to_end")
 
 
 def run_traced(name: str, seed: int, seconds: float) -> None:
@@ -229,8 +243,7 @@ def run_traced(name: str, seed: int, seconds: float) -> None:
 
     # Untraced and traced units alternate, in pairs over the same
     # inputs; the traced unit must reproduce the untraced bytes.
-    plain_t, traced_t, results = [], [], []
-    mismatched = 0
+    plain_t, traced_t, results, twins = [], [], [], []
     start = time.perf_counter()
     pairs = 0
     while pairs < MIN_PAIRS or time.perf_counter() - start < seconds:
@@ -248,12 +261,11 @@ def run_traced(name: str, seed: int, seconds: float) -> None:
                     time.perf_counter() - t0)
                 if traced:
                     tracer.uninstall()
-        if outputs[True].ops != outputs[False].ops:
-            mismatched += len(outputs[True].ops)
         results.extend((outputs[False], outputs[True]))
+        twins.extend((None, outputs[False]))
     elapsed = time.perf_counter() - start
 
-    failed = mismatched + _failed_ops(workload, reference, results)
+    failed = _failed_ops(workload, reference, results, twins)
     attempted = sum(len(r.ops) for r in [reference] + results)
 
     SPAN_DIR.mkdir(exist_ok=True)
@@ -287,21 +299,7 @@ def run_traced(name: str, seed: int, seconds: float) -> None:
         print(f"sim.max_drop.conv2 {drops['conv2']:.4f} (paper Fig 5b: "
               f"~{PAPER_CONV2_DROP:.2f} at 4500 strikes; the simulator is "
               "not validated against hardware)")
-    units_of = {key: _layer_unit(key) for key in metrics}
-    _emit(failed == 0, attempted, failed, metrics, units_of)
-
-
-def _layer_unit(key: str) -> str:
-    if key.endswith("_per_s") or ".strike_images_per_s." in key:
-        return "1/s"
-    if key.endswith("_s") or ".attack_s." in key:
-        return "s"
-    if key.endswith("_frac") or key.startswith("sim.max_drop") \
-            or key == "defense.replay_overhead":
-        return "fraction"
-    if key.endswith("_ticks"):
-        return "ticks"
-    return "count"
+    _emit(failed == 0, attempted, failed, metrics, "per_layer")
 
 
 def main() -> int:

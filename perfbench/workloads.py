@@ -21,6 +21,8 @@ from typing import Dict, Set
 
 import numpy as np
 
+from tracing import DEFENSES
+
 #: Strike-bank size the ``repro campaign`` CLI plans with.
 CAMPAIGN_BANK_CELLS = 5500
 #: ``repro defend --skip-detection --tmr`` grid.
@@ -42,8 +44,8 @@ SESSION_TARGETS = ((0, 1800), (2, 4500), (3, 4500))
 SESSION_KINDS = ("conv", "conv", "fc")
 SESSION_IMAGES = 8
 SESSION_TRACES = 3
-#: Detector trigger must land this many TDC ticks after the first layer
-#: starts, at most.
+#: Detector trigger must land at most this many TDC ticks after the
+#: first layer starts, and not before it.
 MAX_TRIGGER_LAG = 24
 
 
@@ -254,11 +256,10 @@ class BlackBoxSession(Workload):
         payload = _canonical({
             "library": [dataclasses.asdict(sig) for sig in library],
             "trigger": trigger, "outcomes": outcomes})
-        # A trigger during the idle lead-in (lag < 0) is a false alarm
-        # on sensor noise: reported as a rate, not a failure (see
-        # README).  A missing or late trigger fails the session.
+        # A missing or late trigger fails the session, and so does one
+        # during the idle lead-in (lag < 0): a false alarm on noise.
         ok = (kinds == SESSION_KINDS and lag is not None
-              and lag <= MAX_TRIGGER_LAG)
+              and 0 <= lag <= MAX_TRIGGER_LAG)
         return UnitResult({key: payload}, set() if ok else {key},
                           {"trigger_lag": lag, "cells": len(outcomes)})
 
@@ -273,18 +274,9 @@ class ArmsRace(Workload):
         super().__init__(victim, seed)
         self.images, self.labels = _subset(victim, seed, ARMS_IMAGES)
 
-    @staticmethod
-    def defenses():
-        from repro.config import RecoveryConfig
-        from repro.defense import default_defenses
-
-        return list(default_defenses()) + [
-            ("tmr", RecoveryConfig(tmr_final_fc=True,
-                                   exhaustion_policy="accept"))]
-
     def build(self, index: int = 0):
         from repro.core.executor import DefenseGridSpec, WorkerRecipe
-        from repro.defense import ArmsRaceStudy
+        from repro.defense import ArmsRaceStudy, resolve_defense
 
         engine, attack, _ = _sensor_and_attack(self.victim, self.seed,
                                                max(ARMS_BANKS))
@@ -292,7 +284,8 @@ class ArmsRace(Workload):
                              config=attack.config, target_layer=ARMS_LAYER,
                              seed=self.seed)
         spec = race.campaign_spec([(c, ARMS_STRIKES) for c in ARMS_BANKS],
-                                  self.defenses())
+                                  [(label, resolve_defense(label))
+                                   for label in DEFENSES])
         recipe = WorkerRecipe.from_attack(
             attack, defense=DefenseGridSpec(
                 enabled=True, input_shape=tuple(engine.input_shape)))
@@ -310,7 +303,7 @@ class ArmsRace(Workload):
 
         rng = np.random.default_rng([self.seed, 2])
         bank = ARMS_BANKS[int(rng.integers(len(ARMS_BANKS)))]
-        label = self.defenses()[int(rng.integers(3))][0]
+        label = DEFENSES[int(rng.integers(len(DEFENSES)))]
         study = ArmsRaceStudy(self.victim.quantized, self.images, self.labels,
                               target_layer=ARMS_LAYER, seed=self.seed)
         cell = study.run_cell(bank, ARMS_STRIKES, resolve_defense(label),
