@@ -69,10 +69,12 @@ def test_ext_profiling_under_background(benchmark, attack, config):
     sensor = TDCSensor(config.tdc, delay_model, theta,
                        rng=np.random.default_rng(72))
 
+    nominal = config.tdc.calibration_target
+
     def profile_both():
-        clean = attack.profile_victim(sensor, nominal_readout=92,
+        clean = attack.profile_victim(sensor, nominal_readout=nominal,
                                       n_traces=2)
-        noisy = attack.profile_victim(sensor, nominal_readout=92,
+        noisy = attack.profile_victim(sensor, nominal_readout=nominal,
                                       n_traces=2, background=BACKGROUND)
         return clean, noisy
 

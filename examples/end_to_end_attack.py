@@ -34,7 +34,8 @@ def main() -> None:
     theta = theta_for_target(config.tdc, delay_model, voltage=0.9867)
     sensor = TDCSensor(config.tdc, delay_model, theta,
                        rng=np.random.default_rng(22))
-    library = attack.profile_victim(sensor, nominal_readout=92, n_traces=3)
+    library = attack.profile_victim(
+        sensor, nominal_readout=config.tdc.calibration_target, n_traces=3)
     rows = [[f"#{s.order}", s.kind_guess, s.duration_ticks,
              f"{s.mean_droop:.2f}"] for s in library]
     print("Profiled layer library (black-box view):")

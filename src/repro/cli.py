@@ -315,7 +315,8 @@ def _cmd_profile(args) -> int:
 
     _, _, attack, sensor = _sensor_and_attack(seed=11, cells=5000)
     background = BackgroundActivity() if args.background else None
-    library = attack.profile_victim(sensor, nominal_readout=92,
+    nominal = attack.config.tdc.calibration_target
+    library = attack.profile_victim(sensor, nominal_readout=nominal,
                                     n_traces=args.traces,
                                     background=background)
     print(SideChannelProfiler.library_summary(library))

@@ -37,7 +37,7 @@ from .scheme import AttackScheme
 __all__ = ["AttackPlan", "DeepStrike"]
 
 #: Detector latency from layer start to trigger, victim cycles
-#: (debounce of 3 TDC samples at 2 samples/cycle, rounded up).
+#: (the 5th debounced TDC sample, at 2 samples/cycle).
 DETECTOR_LATENCY_CYCLES = 2
 
 #: Default striker bank for the end-to-end attack.  Calibrated so one

@@ -74,8 +74,8 @@ class AttackScheme:
     def compile(self) -> np.ndarray:
         """The bit vector stored in the signal RAM (uint8 0/1 per cycle)."""
         bits = np.zeros(self.total_cycles, dtype=np.uint8)
-        for start in self.strike_start_cycles():
-            bits[start:start + self.strike_cycles] = 1
+        starts = self.strike_start_cycles()
+        bits[starts[:, None] + np.arange(self.strike_cycles)] = 1
         return bits
 
     @classmethod

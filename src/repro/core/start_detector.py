@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..errors import SchedulerError
-from ..sensors.encoder import zone_bits_from_readout
+from ..sensors.encoder import ZONE_TAP_FRACTION, zone_bits_from_readout
 
 __all__ = ["DetectorState", "DNNStartDetector"]
 
@@ -39,7 +39,10 @@ class DNNStartDetector:
         Weights at or below this value indicate layer activity.
     debounce:
         Consecutive samples required for both arming and triggering —
-        the noise purification stage.
+        the noise purification stage.  The default, 5 samples, outlasts
+        idle noise: a single idle sample reads Hamming weight 3 about
+        2 % of the time, so runs of 3 still turn up in about one idle
+        lead-in in 100 and runs of 4 in about one in 6,000.
     glitch_tolerance:
         How many non-conforming samples an in-progress debounce streak
         forgives before resetting (hysteresis against single-sample
@@ -53,10 +56,10 @@ class DNNStartDetector:
         self,
         arm_hw: int = 4,
         trigger_hw: int = 3,
-        debounce: int = 3,
+        debounce: int = 5,
         l_carry: int = 128,
         zones: int = 5,
-        fraction: float = 0.55,
+        fraction: float = ZONE_TAP_FRACTION,
         glitch_tolerance: int = 0,
     ) -> None:
         if not 0 <= trigger_hw < arm_hw <= zones:
@@ -133,27 +136,35 @@ class DNNStartDetector:
         Resets the FSM first; the returned index is where the debounce
         completed (i.e. trigger latency is included).
         """
-        self.reset()
-        arr = np.asarray(readouts)
-        for k in range(start, arr.shape[0]):
-            if self.observe_readout(int(arr[k])):
-                return k
-        return None
+        return self._scan(self._hw_list(readouts), start)
 
     def find_all_triggers(self, readouts: np.ndarray,
                           rearm_gap: int = 64) -> List[int]:
         """All triggers in a trace, re-arming ``rearm_gap`` samples after
         each (multi-inference monitoring)."""
+        hw = self._hw_list(readouts)
         triggers: List[int] = []
         cursor = 0
-        arr = np.asarray(readouts)
-        while cursor < arr.shape[0]:
-            hit = self.find_trigger(arr, start=cursor)
+        while cursor < len(hw):
+            hit = self._scan(hw, cursor)
             if hit is None:
                 break
             triggers.append(hit)
             cursor = hit + rearm_gap
         return triggers
+
+    def _hw_list(self, readouts: np.ndarray) -> List[int]:
+        """Per-sample Hamming weights as plain ints, as
+        :meth:`observe_readout` would derive them one at a time."""
+        arr = np.asarray(readouts).astype(np.int64)
+        return self.detector_input_trace(arr).tolist()
+
+    def _scan(self, hw: List[int], start: int) -> Optional[int]:
+        self.reset()
+        for k in range(start, len(hw)):
+            if self._advance(hw[k]):
+                return k
+        return None
 
     def detector_input_trace(self, readouts: np.ndarray) -> np.ndarray:
         """The Hamming-weight stream the FSM sees (paper Fig 3's y-axis)."""

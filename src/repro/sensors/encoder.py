@@ -26,7 +26,14 @@ __all__ = [
     "zone_sample_indices",
     "zone_bits",
     "hamming_weight",
+    "ZONE_TAP_FRACTION",
 ]
+
+#: Relative position of the tapped bit within each zone.  With 128
+#: stages and 5 zones the taps sit at 14/39/65/90/116: the top tap two
+#: counts below the calibrated idle readout (92), so a MaxPool layer's
+#: shallow droop already reads Hamming weight 3.
+ZONE_TAP_FRACTION = 0.55
 
 
 def thermometer_vector(count: int, length: int) -> np.ndarray:
@@ -57,15 +64,17 @@ def hamming_weight(bits: Union[Sequence[int], np.ndarray]) -> int:
 
 
 def zone_sample_indices(length: int = 128, zones: int = 5,
-                        fraction: float = 0.55) -> List[int]:
+                        fraction: float = ZONE_TAP_FRACTION) -> List[int]:
     """Indices of the one representative bit per zone.
 
     The chain is split into ``zones`` equal spans; within each span the bit
     at relative position ``fraction`` is tapped.  With the defaults and the
-    calibrated operating point (readout ~92), the top zone's tap sits just
-    below the nominal edge, so the 5-bit word reads Hamming weight 4 at
-    idle and drops to 3 the moment a layer's droop begins — the paper's
-    "HW == 3 means MaxPool just started" condition.
+    calibrated operating point (readout ~92), the top zone's tap (90) sits
+    two counts below the nominal edge, so the 5-bit word reads Hamming
+    weight 4 at idle and drops to 3 the moment a layer's droop begins —
+    the paper's "HW == 3 means MaxPool just started" condition.  Idle
+    noise alone reads 90 or less in about 2 % of samples, singly; the
+    start detector's debounce is what rejects it.
     """
     if zones < 1 or length < zones:
         raise ConfigError("need at least one bit per zone")
@@ -79,7 +88,7 @@ def zone_sample_indices(length: int = 128, zones: int = 5,
 
 
 def zone_bits(capture: np.ndarray, zones: int = 5,
-              fraction: float = 0.55) -> np.ndarray:
+              fraction: float = ZONE_TAP_FRACTION) -> np.ndarray:
     """Extract the 5-zone detector input word from a raw capture vector."""
     arr = np.asarray(capture)
     if arr.ndim != 1:
@@ -89,7 +98,8 @@ def zone_bits(capture: np.ndarray, zones: int = 5,
 
 
 def zone_bits_from_readout(readout: Union[int, np.ndarray], length: int = 128,
-                           zones: int = 5, fraction: float = 0.55) -> np.ndarray:
+                           zones: int = 5,
+                           fraction: float = ZONE_TAP_FRACTION) -> np.ndarray:
     """Detector word(s) computed directly from ones-count readouts.
 
     For clean thermometer captures, bit ``i`` of the word is simply

@@ -104,30 +104,30 @@ class ReadoutTrace:
         not split it).
         """
         mask = self.activity_mask(stall_band, window)
-        runs = _runs(mask)
-        # Drop too-short activity bursts.
-        runs = [(kind, s, e) for kind, s, e in runs
-                if not (kind and (e - s) < min_activity_ticks)]
-        runs = _normalize(runs, len(self))
+        # Activity runs [start, end): edges alternate start, end, ...
+        edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+        act_starts, act_ends = edges[::2], edges[1::2]
+        # Drop too-short activity bursts; the stalls around them re-glue.
+        keep = act_ends - act_starts >= min_activity_ticks
+        act_starts, act_ends = act_starts[keep], act_ends[keep]
         # Merge activity runs separated by stalls shorter than the gap:
         # activity | short stall | activity -> one activity run.
-        changed = True
-        while changed:
-            changed = False
-            for j in range(1, len(runs) - 1):
-                kind, s, e = runs[j]
-                if (not kind and (e - s) < merge_gap_ticks
-                        and runs[j - 1][0] and runs[j + 1][0]):
-                    fused = (True, runs[j - 1][1], runs[j + 1][2])
-                    runs = runs[: j - 1] + [fused] + runs[j + 2:]
-                    changed = True
-                    break
+        split = np.flatnonzero(act_starts[1:] - act_ends[:-1] >= merge_gap_ticks)
+        act_starts = np.concatenate((act_starts[:1], act_starts[split + 1]))
+        act_ends = np.concatenate((act_ends[split], act_ends[-1:]))
+        # Cut points of stall | activity | stall | ... | stall; only the
+        # first and last stall can be empty.
+        cuts = np.concatenate(
+            ([0], np.column_stack((act_starts, act_ends)).ravel(), [len(self)])
+        ).tolist()
         segments = []
-        for kind, s, e in runs:
+        for k, (s, e) in enumerate(zip(cuts, cuts[1:])):
+            if s == e:
+                continue
             span = self.readouts[s:e]
             segments.append(
                 Segment(
-                    kind="activity" if kind else "stall",
+                    kind="activity" if k % 2 else "stall",
                     start=s,
                     end=e,
                     mean=float(span.mean()),
@@ -151,33 +151,3 @@ class ReadoutTrace:
         """Mean droop below nominal over the whole trace, in counts."""
         return float(np.maximum(self.nominal - self.readouts, 0).mean())
 
-
-def _runs(mask: np.ndarray) -> List[tuple]:
-    """Run-length encode a boolean mask into (value, start, end) tuples."""
-    runs = []
-    start = 0
-    for k in range(1, len(mask) + 1):
-        if k == len(mask) or mask[k] != mask[start]:
-            runs.append((bool(mask[start]), start, k))
-            start = k
-    return runs
-
-
-def _normalize(runs: List[tuple], total: int) -> List[tuple]:
-    """Re-glue adjacent same-kind runs after filtering, covering [0,total)."""
-    if not runs:
-        return [(False, 0, total)]
-    glued: List[List] = []
-    for kind, s, e in runs:
-        if glued and glued[-1][0] == kind:
-            glued[-1][2] = e
-        else:
-            glued.append([kind, s, e])
-    # Re-span boundaries to be contiguous.
-    out = []
-    cursor = 0
-    for i, (kind, s, e) in enumerate(glued):
-        end = glued[i + 1][1] if i + 1 < len(glued) else total
-        out.append((kind, cursor, end))
-        cursor = end
-    return out
